@@ -112,7 +112,7 @@ func main() {
 		"streaming executor pipeline width per stage (0 = follow -parallelism; only with -exec-backend stream)")
 	stateDir := flag.String("state-dir", "",
 		"durable tenant state directory: snapshots + telemetry journal (empty = in-memory only)")
-	fsync := flag.Bool("fsync", false, "fsync the telemetry journal on every append")
+	fsync := flag.Bool("fsync", false, "fsync the telemetry journal on every append (model snapshots and the table-statistics log always sync)")
 	retainSnapshots := flag.Int("retain-snapshots", 0, "snapshots kept per tenant (0 = all)")
 	nodeID := flag.String("node-id", "",
 		"this node's id in cluster mode (must be a key of -peers; empty = single-node)")

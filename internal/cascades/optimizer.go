@@ -169,7 +169,7 @@ func (o *Optimizer) Optimize(root *plan.Logical) (*Result, error) {
 	if err := o.validate(); err != nil {
 		return nil, err
 	}
-	return o.optimizeOne(o.newSem(), root, false)
+	return o.optimizeOne(o.newSem(), root)
 }
 
 // ruleSet resolves the effective transformation-rule set.
@@ -207,9 +207,7 @@ func (o *Optimizer) templateKey(root *plan.Logical) TemplateKey {
 // short-circuits copy-in and logical exploration — both pure functions of
 // the logical plan — so cached and fresh searches visit identical
 // expression sets in identical order and return bit-identical plans.
-// held reports whether the calling goroutine occupies a pool slot (an
-// OptimizeAll query spawned onto the shared pool does).
-func (o *Optimizer) optimizeOne(sem chan struct{}, root *plan.Logical, held bool) (*Result, error) {
+func (o *Optimizer) optimizeOne(sem chan struct{}, root *plan.Logical) (*Result, error) {
 	s := o.newSearch(sem)
 	var key TemplateKey
 	if o.Templates != nil {
@@ -219,7 +217,7 @@ func (o *Optimizer) optimizeOne(sem chan struct{}, root *plan.Logical, held bool
 			s.templateHit = true
 		}
 	}
-	res, err := s.run(root, held)
+	res, err := s.run(root)
 	if err != nil {
 		return nil, err
 	}
@@ -245,10 +243,10 @@ func (o *Optimizer) OptimizeAll(queries []*plan.Logical) ([]*Result, error) {
 	}
 	sem := o.newSem()
 	results := make([]*Result, len(queries))
-	fns := make([]func(bool) error, len(queries))
+	fns := make([]func() error, len(queries))
 	for i, q := range queries {
-		fns[i] = func(spawned bool) error {
-			res, err := o.optimizeOne(sem, q, spawned)
+		fns[i] = func() error {
+			res, err := o.optimizeOne(sem, q)
 			if err != nil {
 				return err
 			}
@@ -327,7 +325,7 @@ func (o *Optimizer) newSearch(sem chan struct{}) *search {
 	return s
 }
 
-func (s *search) run(root *plan.Logical, held bool) (*Result, error) {
+func (s *search) run(root *plan.Logical) (*Result, error) {
 	if so := s.obs; so != nil {
 		so.start = time.Now()
 		so.startNs = so.trace.Now()
@@ -352,7 +350,7 @@ func (s *search) run(root *plan.Logical, held bool) (*Result, error) {
 			}
 		}
 	}
-	res, err := s.optimizeGroup(s.memo.Root(), Props{}, held)
+	res, err := s.optimizeGroup(s.memo.Root(), Props{})
 	if err != nil {
 		return nil, err
 	}
@@ -403,26 +401,18 @@ type future struct {
 // execution instead of deadlocking, even though tasks recursively fan out.
 // It returns the first error in argument order.
 //
-// Each fn is told how it runs: spawned fns execute on a pool goroutine
-// that occupies a semaphore slot for the duration of the call, inline fns
-// (spawned == false) run on the caller's goroutine and hold no slot of
-// their own. The flag flows down the search so a task that parks on an
-// in-flight future can lend its slot back to the pool while it waits
-// (see optimizeGroup); an inline fn must instead inherit the caller's
-// slot-holding state, which the call sites capture in their closures.
-//
 // A panic in a spawned worker is captured and re-raised on the caller's
 // goroutine after every worker finishes — exactly where inline execution
 // would have panicked — so a panicking cost model unwinds the request that
 // triggered it (where net/http's per-connection recover can contain it)
 // instead of crashing the whole process from a bare goroutine.
-func fanOut(sem chan struct{}, fns ...func(spawned bool) error) error {
+func fanOut(sem chan struct{}, fns ...func() error) error {
 	if len(fns) == 0 {
 		return nil
 	}
 	if sem == nil {
 		for _, fn := range fns {
-			if err := fn(false); err != nil {
+			if err := fn(); err != nil {
 				return err
 			}
 		}
@@ -454,18 +444,18 @@ func fanOut(sem chan struct{}, fns ...func(spawned bool) error) error {
 							failed.Store(true)
 						}
 					}()
-					if errs[i] = fn(true); errs[i] != nil {
+					if errs[i] = fn(); errs[i] != nil {
 						failed.Store(true)
 					}
 				}()
 			default:
-				if errs[i] = fn(false); errs[i] != nil {
+				if errs[i] = fn(); errs[i] != nil {
 					failed.Store(true)
 				}
 			}
 		}
 		if !failed.Load() {
-			errs[len(fns)-1] = fns[len(fns)-1](false)
+			errs[len(fns)-1] = fns[len(fns)-1]()
 		}
 	}()
 	for _, p := range panics {
@@ -492,24 +482,23 @@ type childTask struct {
 // optimizeChildren runs a rule's independent child optimizations. With a
 // worker pool they fan out through fanOut; inline mode (sem == nil — the
 // sequential default) runs them directly with no closures or goroutine
-// scaffolding, keeping the hot path allocation-lean. held is the calling
-// goroutine's slot-holding state, inherited by inline-executed tasks.
-func (s *search) optimizeChildren(tasks []childTask, held bool) error {
+// scaffolding, keeping the hot path allocation-lean.
+func (s *search) optimizeChildren(tasks []childTask) error {
 	if s.sem == nil {
 		for i := range tasks {
 			var err error
-			if *tasks[i].dst, err = s.optimizeGroup(tasks[i].id, tasks[i].req, false); err != nil {
+			if *tasks[i].dst, err = s.optimizeGroup(tasks[i].id, tasks[i].req); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	fns := make([]func(bool) error, len(tasks))
+	fns := make([]func() error, len(tasks))
 	for i := range tasks {
 		t := &tasks[i]
-		fns[i] = func(spawned bool) error {
+		fns[i] = func() error {
 			var err error
-			*t.dst, err = s.optimizeGroup(t.id, t.req, spawned || held)
+			*t.dst, err = s.optimizeGroup(t.id, t.req)
 			return err
 		}
 	}
@@ -522,17 +511,15 @@ func (s *search) optimizeChildren(tasks []childTask, held bool) error {
 // key dedupe by waiting on the in-flight future; group dependencies follow
 // the memo DAG, so future waits cannot cycle.
 //
-// held reports whether the calling goroutine occupies a pool slot (it runs
-// a spawned fanOut task somewhere up its stack). A held waiter parked on an
-// in-flight future lends its slot back to the pool for the duration of the
-// wait — otherwise dedup-heavy shapes at small Parallelism idle pool
-// capacity on goroutines that are doing nothing but waiting — and
-// re-acquires before continuing. Inline callers hold no slot and wait as
-// before. Re-acquisition cannot deadlock: a goroutine blocked here holds no
-// slot, so a full semaphore means some worker is actively running, and
-// every running worker eventually releases (it finishes, or parks and lends
-// in turn).
-func (s *search) optimizeGroup(id GroupID, req Props, held bool) (*searchResult, error) {
+// A waiter keeps its pool slot while it waits. That is what makes the
+// search deadlock-free: the only blocking operations are future waits and
+// fanOut's wait for its spawned children, and both point strictly down the
+// memo DAG (a task waits only on work its own group needs), while pool
+// acquisition never blocks. An earlier design lent the slot back while
+// parked and re-acquired it with a blocking send; that re-acquire could
+// wait on slot-holders that were themselves waiting, through fanOut, on
+// the re-acquirer's own subtree, and so hung the search.
+func (s *search) optimizeGroup(id GroupID, req Props) (*searchResult, error) {
 	key := taskKey{group: id, props: req.key()}
 	if s.sem == nil {
 		// Inline mode: the whole search runs on one goroutine, so the
@@ -541,28 +528,14 @@ func (s *search) optimizeGroup(id GroupID, req Props, held bool) (*searchResult,
 			return f.res, f.err
 		}
 		f := &future{}
-		f.res, f.err = s.searchGroup(id, req, false)
+		f.res, f.err = s.searchGroup(id, req)
 		s.table[key] = f
 		return f.res, f.err
 	}
 	s.mu.Lock()
 	if f, ok := s.table[key]; ok {
 		s.mu.Unlock()
-		if held {
-			// Lend only if the task is genuinely in flight: a resolved
-			// future is a free memo hit, and giving the slot up just to
-			// re-queue for it behind a saturated pool would turn that hit
-			// into a stall.
-			select {
-			case <-f.done:
-			default:
-				<-s.sem // lend the slot while parked
-				<-f.done
-				s.sem <- struct{}{} // re-acquire before resuming work
-			}
-		} else {
-			<-f.done
-		}
+		<-f.done
 		return f.res, f.err
 	}
 	f := &future{done: make(chan struct{})}
@@ -578,7 +551,7 @@ func (s *search) optimizeGroup(id GroupID, req Props, held bool) (*searchResult,
 			panic(r)
 		}
 	}()
-	f.res, f.err = s.searchGroup(id, req, held)
+	f.res, f.err = s.searchGroup(id, req)
 	close(f.done)
 	return f.res, f.err
 }
@@ -592,7 +565,7 @@ func (s *search) optimizeGroup(id GroupID, req Props, held bool) (*searchResult,
 // part — fan out across the worker pool; the final reduction scans
 // candidates in expression/candidate order with a strict < comparison, so
 // ties break identically to the sequential search.
-func (s *search) searchGroup(id GroupID, req Props, held bool) (*searchResult, error) {
+func (s *search) searchGroup(id GroupID, req Props) (*searchResult, error) {
 	g := s.memo.Group(id)
 	if len(g.Exprs) == 0 {
 		return nil, fmt.Errorf("cascades: empty group %d", id)
@@ -602,13 +575,13 @@ func (s *search) searchGroup(id GroupID, req Props, held bool) (*searchResult, e
 	switch {
 	case len(g.Exprs) == 1: // the common case: no alternatives to fan out
 		var err error
-		cands, err = s.implement(g.Exprs[0], req, held)
+		cands, err = s.implement(g.Exprs[0], req)
 		if err != nil {
 			return nil, err
 		}
 	case s.sem == nil: // inline mode: no fan-out scaffolding
 		for _, e := range g.Exprs {
-			cs, err := s.implement(e, req, false)
+			cs, err := s.implement(e, req)
 			if err != nil {
 				return nil, err
 			}
@@ -616,11 +589,11 @@ func (s *search) searchGroup(id GroupID, req Props, held bool) (*searchResult, e
 		}
 	default:
 		candsByExpr := make([][]candidate, len(g.Exprs))
-		fns := make([]func(bool) error, len(g.Exprs))
+		fns := make([]func() error, len(g.Exprs))
 		for i, e := range g.Exprs {
-			fns[i] = func(spawned bool) error {
+			fns[i] = func() error {
 				var err error
-				candsByExpr[i], err = s.implement(e, req, spawned || held)
+				candsByExpr[i], err = s.implement(e, req)
 				return err
 			}
 		}
@@ -657,9 +630,9 @@ func (s *search) searchGroup(id GroupID, req Props, held bool) (*searchResult, e
 		cost      float64
 	}
 	outs := make([]enforced, len(cands))
-	efns := make([]func(bool) error, len(cands))
+	efns := make([]func() error, len(cands))
 	for i, cand := range cands {
-		efns[i] = func(bool) error { // enforcement never recurses into groups
+		efns[i] = func() error { // enforcement never recurses into groups
 			final, delivered, err := s.enforce(cand.root, cand.delivered, req)
 			if err != nil {
 				return err
@@ -688,30 +661,29 @@ type candidate struct {
 }
 
 // implement applies the implementation rules for one logical expression,
-// producing costed physical candidates. held is the calling goroutine's
-// slot-holding state, threaded through to child group optimizations.
-func (s *search) implement(e *Expr, req Props, held bool) ([]candidate, error) {
+// producing costed physical candidates.
+func (s *search) implement(e *Expr, req Props) ([]candidate, error) {
 	switch e.Op {
 	case plan.LGet:
 		return s.implementGet(e)
 	case plan.LSelect:
-		return s.implementPassThrough(e, plan.PFilter, req, true, held)
+		return s.implementPassThrough(e, plan.PFilter, req, true)
 	case plan.LProject:
-		return s.implementPassThrough(e, plan.PProject, req, true, held)
+		return s.implementPassThrough(e, plan.PProject, req, true)
 	case plan.LProcess:
-		return s.implementPassThrough(e, plan.PProcess, req, false, held)
+		return s.implementPassThrough(e, plan.PProcess, req, false)
 	case plan.LOutput:
-		return s.implementPassThrough(e, plan.POutput, req, true, held)
+		return s.implementPassThrough(e, plan.POutput, req, true)
 	case plan.LUnion:
-		return s.implementUnion(e, held)
+		return s.implementUnion(e)
 	case plan.LSort:
-		return s.implementSort(e, req, held)
+		return s.implementSort(e, req)
 	case plan.LTopN:
-		return s.implementTopN(e, req, held)
+		return s.implementTopN(e, req)
 	case plan.LAggregate:
-		return s.implementAggregate(e, held)
+		return s.implementAggregate(e)
 	case plan.LJoin:
-		return s.implementJoin(e, held)
+		return s.implementJoin(e)
 	default:
 		return nil, fmt.Errorf("cascades: no implementation rule for %v", e.Op)
 	}
@@ -810,12 +782,12 @@ func (s *search) implementGet(e *Expr) ([]candidate, error) {
 // (and, when keepOrder, ordering): Filter, Project, Process, Output. The
 // parent's requirement is forwarded to the child so enforcers land as low
 // as possible.
-func (s *search) implementPassThrough(e *Expr, op plan.PhysicalOp, req Props, keepOrder, held bool) ([]candidate, error) {
+func (s *search) implementPassThrough(e *Expr, op plan.PhysicalOp, req Props, keepOrder bool) ([]candidate, error) {
 	childReq := Props{Part: req.Part}
 	if keepOrder {
 		childReq.Order = req.Order
 	}
-	child, err := s.optimizeGroup(e.Child[0], childReq, held)
+	child, err := s.optimizeGroup(e.Child[0], childReq)
 	if err != nil {
 		return nil, err
 	}
@@ -833,7 +805,7 @@ func (s *search) implementPassThrough(e *Expr, op plan.PhysicalOp, req Props, ke
 	return []candidate{{root: n, delivered: delivered}}, nil
 }
 
-func (s *search) implementUnion(e *Expr, held bool) ([]candidate, error) {
+func (s *search) implementUnion(e *Expr) ([]candidate, error) {
 	// Union branches are independent subtrees: fan their optimizations
 	// across the worker pool.
 	results := make([]*searchResult, len(e.Child))
@@ -841,7 +813,7 @@ func (s *search) implementUnion(e *Expr, held bool) ([]candidate, error) {
 	for i, cg := range e.Child {
 		tasks[i] = childTask{dst: &results[i], id: cg, req: Props{}}
 	}
-	if err := s.optimizeChildren(tasks, held); err != nil {
+	if err := s.optimizeChildren(tasks); err != nil {
 		return nil, err
 	}
 	children := make([]*plan.Physical, len(results))
@@ -862,8 +834,8 @@ func (s *search) implementUnion(e *Expr, held bool) ([]candidate, error) {
 	return []candidate{{root: n, delivered: Props{}}}, nil
 }
 
-func (s *search) implementSort(e *Expr, req Props, held bool) ([]candidate, error) {
-	child, err := s.optimizeGroup(e.Child[0], Props{Part: req.Part}, held)
+func (s *search) implementSort(e *Expr, req Props) ([]candidate, error) {
+	child, err := s.optimizeGroup(e.Child[0], Props{Part: req.Part})
 	if err != nil {
 		return nil, err
 	}
@@ -878,9 +850,9 @@ func (s *search) implementSort(e *Expr, req Props, held bool) ([]candidate, erro
 	return []candidate{{root: n, delivered: delivered}}, nil
 }
 
-func (s *search) implementTopN(e *Expr, req Props, held bool) ([]candidate, error) {
+func (s *search) implementTopN(e *Expr, req Props) ([]candidate, error) {
 	// Top-N consumes sorted input; the sort requirement is pushed down.
-	child, err := s.optimizeGroup(e.Child[0], Props{Part: req.Part, Order: Ordering(e.Keys)}, held)
+	child, err := s.optimizeGroup(e.Child[0], Props{Part: req.Part, Order: Ordering(e.Keys)})
 	if err != nil {
 		return nil, err
 	}
@@ -904,7 +876,7 @@ func aggPartitioning(keys []plan.Column) Partitioning {
 	return Partitioning{Kind: HashPartition, Keys: keys}
 }
 
-func (s *search) implementAggregate(e *Expr, held bool) ([]candidate, error) {
+func (s *search) implementAggregate(e *Expr) ([]candidate, error) {
 	part := aggPartitioning(e.Keys)
 
 	// The three aggregation alternatives need three independent child
@@ -919,7 +891,7 @@ func (s *search) implementAggregate(e *Expr, held bool) ([]candidate, error) {
 	if len(e.Keys) > 0 {
 		tasks = append(tasks, childTask{dst: &streamChild, id: e.Child[0], req: Props{Part: part, Order: Ordering(e.Keys)}})
 	}
-	if err := s.optimizeChildren(tasks, held); err != nil {
+	if err := s.optimizeChildren(tasks); err != nil {
 		return nil, err
 	}
 
@@ -968,7 +940,7 @@ func (s *search) implementAggregate(e *Expr, held bool) ([]candidate, error) {
 	return cands, nil
 }
 
-func (s *search) implementJoin(e *Expr, held bool) ([]candidate, error) {
+func (s *search) implementJoin(e *Expr) ([]candidate, error) {
 	part := Partitioning{Kind: HashPartition, Keys: e.Keys}
 	ord := Ordering(e.Keys)
 
@@ -982,7 +954,7 @@ func (s *search) implementJoin(e *Expr, held bool) ([]candidate, error) {
 		{dst: &lm, id: e.Child[0], req: Props{Part: part, Order: ord}},
 		{dst: &rm, id: e.Child[1], req: Props{Part: part, Order: ord}},
 	}
-	if err := s.optimizeChildren(tasks, held); err != nil {
+	if err := s.optimizeChildren(tasks); err != nil {
 		return nil, err
 	}
 

@@ -11,10 +11,10 @@ import (
 // dedupHeavyQuery builds a shape whose parallel search dedupes heavily:
 // every join explores its commuted form, and the commuted expression's
 // child tasks request the same (group, props) keys as the original's, so
-// with a small pool most workers end up parked on in-flight futures. This
-// is exactly the shape where a parked worker must lend its semaphore slot
-// back (the pool would otherwise idle at Parallelism=2 with one worker
-// computing and one holding a slot just to wait).
+// with a small pool most workers end up parked on in-flight futures while
+// holding their semaphore slots. This is the shape on which the former
+// slot-lending scheme (park, give the slot back, re-acquire it with a
+// blocking send) deadlocked.
 func dedupHeavyQuery() *plan.Logical {
 	clicks := plan.NewSelect(plan.NewGet("clicks_d1", "clicks_"), "recent")
 	users := plan.NewGet("users_d1", "users_")
@@ -30,7 +30,8 @@ func dedupHeavyQuery() *plan.Logical {
 // TestSlotLendingDedupHeavy runs the dedup-heavy shape at Parallelism=2
 // under -race, repeatedly and concurrently, and requires bit-identical
 // results to the sequential search. The tiny pool plus the future-heavy
-// shape drives workers through the lend/re-acquire path in optimizeGroup.
+// shape drives many workers into future waits in optimizeGroup at once; the
+// test's name is kept from the slot-lending scheme those waits used to run.
 func TestSlotLendingDedupHeavy(t *testing.T) {
 	cat := testCatalog()
 	q := dedupHeavyQuery()
@@ -71,8 +72,8 @@ func TestSlotLendingDedupHeavy(t *testing.T) {
 }
 
 // TestSlotLendingOptimizeAll drives the shared-pool batch path (spawned
-// query tasks hold slots for their whole search, so their future waits all
-// go through the lending path) at Parallelism=2.
+// query tasks hold slots for their whole search, including every future
+// wait) at Parallelism=2.
 func TestSlotLendingOptimizeAll(t *testing.T) {
 	cat := testCatalog()
 	queries := []*plan.Logical{dedupHeavyQuery(), joinQuery(), dedupHeavyQuery(), simpleQuery()}

@@ -154,7 +154,7 @@ func NewSystem(cfg SystemConfig) *System {
 		s.searchMetrics = cascades.NewSearchMetrics(cfg.Metrics)
 		s.costerMetrics = learned.NewCosterMetrics(cfg.Metrics)
 		s.executeSeconds = cfg.Metrics.Histogram("cleo_execute_seconds",
-			"Simulated-cluster query execution latency per run.")
+			"Query execution latency per run on the configured backend (simulated cluster or streaming engine).")
 		s.retrainSeconds = cfg.Metrics.Histogram("cleo_retrain_seconds",
 			"Model training duration per retrain (telemetry to published predictor).")
 	}

@@ -2,10 +2,15 @@ package persist
 
 import (
 	"encoding/binary"
+	"encoding/json"
+	"hash/crc32"
+	"maps"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
+	"cleo/internal/stats"
 	"cleo/internal/telemetry"
 )
 
@@ -105,6 +110,118 @@ func FuzzJournalOpen(f *testing.F) {
 			if rec2.Records[len(rec.Records)+i] != r {
 				t.Fatalf("appended record %d corrupted: %+v vs %+v", i, rec2.Records[len(rec.Records)+i], r)
 			}
+		}
+	})
+}
+
+// fuzzTablesLogBytes renders a valid tables.wal image holding the given
+// deltas, through the same AppendTables path the serving layer uses.
+func fuzzTablesLogBytes(f *testing.F, deltas ...map[string]stats.TableStats) []byte {
+	f.Helper()
+	dir := f.TempDir()
+	ts, err := openTestTenant(dir)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, d := range deltas {
+		if err := ts.AppendTables(d); err != nil {
+			f.Fatal(err)
+		}
+	}
+	ts.Close()
+	data, err := os.ReadFile(filepath.Join(dir, "ads", tablesLogName))
+	if err != nil {
+		f.Fatal(err)
+	}
+	return data
+}
+
+// validTablesPrefix decodes data frame by frame, as the format defines
+// it, up to the first incomplete or invalid frame, and returns the
+// catalog those frames describe (never nil).
+func validTablesPrefix(data []byte) map[string]stats.TableStats {
+	out := map[string]stats.TableStats{}
+	for len(data) >= frameHeaderBytes {
+		n := int64(binary.LittleEndian.Uint32(data[0:4]))
+		if n > int64(maxFrameBytes) || n > int64(len(data)-frameHeaderBytes) {
+			break
+		}
+		payload := data[frameHeaderBytes : frameHeaderBytes+n]
+		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(data[4:8]) {
+			break
+		}
+		var d map[string]stats.TableStats
+		if json.Unmarshal(payload, &d) != nil {
+			break
+		}
+		maps.Copy(out, d)
+		data = data[frameHeaderBytes+n:]
+	}
+	return out
+}
+
+// FuzzTablesLogOpen feeds arbitrary bytes as tables.wal to a tenant open.
+// The contract: never panic, never fail on corruption, and load exactly
+// the catalog of the log's valid frame prefix; the recovered state must
+// take new deltas and reopen to the same catalog.
+func FuzzTablesLogOpen(f *testing.F) {
+	deltas := tableDeltas()
+	valid := fuzzTablesLogBytes(f, deltas...)
+	f.Add([]byte{})
+	f.Add(fuzzTablesLogBytes(f, deltas[0]))
+	f.Add(valid)
+	f.Add(valid[:len(valid)-5]) // torn frame payload
+	f.Add(valid[:frameHeaderBytes-2])
+	flipped := append([]byte(nil), valid...)
+	flipped[len(flipped)-1] ^= 0xff // checksum mismatch in the last frame
+	f.Add(flipped)
+	huge := append([]byte(nil), valid...)
+	binary.LittleEndian.PutUint32(huge[0:4], 1<<31-1) // implausible length
+	f.Add(huge)
+	f.Add([]byte("not a table log at all"))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		tdir := filepath.Join(dir, "ads")
+		if err := os.MkdirAll(tdir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(tdir, tablesLogName), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ts, err := openTestTenant(dir)
+		if err != nil {
+			t.Fatalf("open failed on corrupt-but-readable input: %v", err)
+		}
+		want := validTablesPrefix(data)
+		load := func(ts *TenantState) map[string]stats.TableStats {
+			t.Helper()
+			got, err := ts.LoadTables()
+			if err != nil {
+				t.Fatalf("LoadTables: %v", err)
+			}
+			if got == nil {
+				got = map[string]stats.TableStats{}
+			}
+			return got
+		}
+		if got := load(ts); !reflect.DeepEqual(got, want) {
+			t.Fatalf("loaded %+v, valid frame prefix holds %+v", got, want)
+		}
+		delta := map[string]stats.TableStats{"appended": {Rows: 42, RowLength: 7}}
+		if err := ts.AppendTables(delta); err != nil {
+			t.Fatalf("append after recovery: %v", err)
+		}
+		ts.Close()
+		maps.Copy(want, delta)
+
+		ts2, err := openTestTenant(dir)
+		if err != nil {
+			t.Fatalf("reopen after recovery: %v", err)
+		}
+		defer ts2.Close()
+		if got := load(ts2); !reflect.DeepEqual(got, want) {
+			t.Fatalf("reopen loaded %+v, want %+v", got, want)
 		}
 	})
 }

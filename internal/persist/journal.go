@@ -123,53 +123,77 @@ func (j *Journal) scan() (*JournalRecovery, error) {
 	if err != nil {
 		return nil, err
 	}
-	total := fi.Size()
 	rec := &JournalRecovery{}
+	valid, reason, err := scanFrames(j.f, fi.Size(), func(payload []byte) error {
+		recs, err := telemetry.ReadRecords(bytes.NewReader(payload))
+		if err != nil {
+			return fmt.Errorf("frame decode: %v", err)
+		}
+		rec.Records = append(rec.Records, recs...)
+		j.frames = append(j.frames, frameMeta{bytes: frameHeaderBytes + int64(len(payload)), records: len(recs), start: j.nextIdx})
+		j.nextIdx += int64(len(recs))
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	j.size = valid
+	rec.DroppedBytes = fi.Size() - valid
+	rec.Reason = reason
+	return rec, nil
+}
+
+// scanFrames reads the frames of a total-byte file from r, handing each
+// checksummed payload to decode (the slice is reused between calls). It
+// returns the byte length of the complete-frame prefix and, when bytes
+// follow it, why they were rejected: a torn header or payload, an
+// implausible length, a checksum mismatch, or decode's own error. Only
+// I/O errors fail the scan.
+func scanFrames(r io.Reader, total int64, decode func(payload []byte) error) (valid int64, reason string, err error) {
 	var header [frameHeaderBytes]byte
 	var payload []byte
 	for {
-		remaining := total - j.size
+		remaining := total - valid
 		if remaining == 0 {
-			return rec, nil
-		}
-		corrupt := func(reason string) (*JournalRecovery, error) {
-			rec.DroppedBytes = remaining
-			rec.Reason = reason
-			return rec, nil
+			return valid, "", nil
 		}
 		if remaining < frameHeaderBytes {
-			return corrupt("torn frame header")
+			return valid, "torn frame header", nil
 		}
-		if _, err := io.ReadFull(j.f, header[:]); err != nil {
-			return nil, err
+		if _, err := io.ReadFull(r, header[:]); err != nil {
+			return valid, "", err
 		}
 		n := int64(binary.LittleEndian.Uint32(header[0:4]))
 		sum := binary.LittleEndian.Uint32(header[4:8])
 		if n > int64(maxFrameBytes) {
-			return corrupt(fmt.Sprintf("implausible frame length %d", n))
+			return valid, fmt.Sprintf("implausible frame length %d", n), nil
 		}
 		if remaining < frameHeaderBytes+n {
-			return corrupt("torn frame payload")
+			return valid, "torn frame payload", nil
 		}
 		if int64(cap(payload)) < n {
 			payload = make([]byte, n)
 		}
 		payload = payload[:n]
-		if _, err := io.ReadFull(j.f, payload); err != nil {
-			return nil, err
+		if _, err := io.ReadFull(r, payload); err != nil {
+			return valid, "", err
 		}
 		if crc32.ChecksumIEEE(payload) != sum {
-			return corrupt("frame checksum mismatch")
+			return valid, "frame checksum mismatch", nil
 		}
-		recs, err := telemetry.ReadRecords(bytes.NewReader(payload))
-		if err != nil {
-			return corrupt(fmt.Sprintf("frame decode: %v", err))
+		if err := decode(payload); err != nil {
+			return valid, err.Error(), nil
 		}
-		rec.Records = append(rec.Records, recs...)
-		j.frames = append(j.frames, frameMeta{bytes: frameHeaderBytes + n, records: len(recs), start: j.nextIdx})
-		j.nextIdx += int64(len(recs))
-		j.size += frameHeaderBytes + n
+		valid += frameHeaderBytes + n
 	}
+}
+
+// frameHeader renders the header that precedes payload on disk.
+func frameHeader(payload []byte) [frameHeaderBytes]byte {
+	var header [frameHeaderBytes]byte
+	binary.LittleEndian.PutUint32(header[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(header[4:8], crc32.ChecksumIEEE(payload))
+	return header
 }
 
 // Append writes one batch as a frame (one fsync per merged batch when
@@ -215,9 +239,7 @@ func (j *Journal) appendLocked(recs []telemetry.Record) error {
 		return j.appendLocked(recs[half:])
 	}
 	payload := j.buf.Bytes()
-	var header [frameHeaderBytes]byte
-	binary.LittleEndian.PutUint32(header[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(header[4:8], crc32.ChecksumIEEE(payload))
+	header := frameHeader(payload)
 	rollback := func(err error) error {
 		_ = j.f.Truncate(j.size)
 		_, _ = j.f.Seek(j.size, io.SeekStart)

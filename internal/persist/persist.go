@@ -1,23 +1,26 @@
 // Package persist is the serving layer's durable-state subsystem: a
-// versioned model snapshot store plus an append-only telemetry journal
-// per tenant, under one state directory. The serving layer writes
-// snapshots on every model publish and journals every ingested telemetry
-// batch before it reaches the in-memory log; on restart it reloads each
-// tenant's latest snapshot (preserving version ids) and replays the
-// journal, so a restarted server plans with its learned models on the
-// first request instead of retraining from scratch.
+// versioned model snapshot store, an append-only telemetry journal and a
+// table-statistics catalog per tenant, under one state directory. The
+// serving layer writes snapshots on every model publish, journals every
+// ingested telemetry batch before it reaches the in-memory log, and logs
+// every change to the table catalog; on restart it reloads each tenant's
+// table statistics and latest snapshot (preserving version ids) and
+// replays the journal, so a restarted server plans with its learned
+// models on the first request instead of retraining first.
 //
 // Layout under the state directory:
 //
 //	<state-dir>/
 //	  <tenant>/                    one directory per tenant (encoded name)
 //	    journal.wal                not-yet-trained telemetry (framed WAL)
+//	    tables.json                table statistics, compacted base
+//	    tables.wal                 table-statistics deltas since the base (framed WAL)
 //	    v00000001.model.json       serialized predictor of version 1
 //	    v00000001.manifest.json    its metadata (commit marker)
 //	    v00000002.model.json       ...
 //
-// All corruption degrades, never crashes: a torn journal tail is
-// truncated to the last complete frame, an unreadable snapshot falls back
+// All corruption degrades, never crashes: a torn journal or table-log tail
+// is truncated to the last complete frame, an unreadable snapshot falls back
 // to the next older one, and a tenant with nothing readable simply cold
 // starts. Every skip is reported through the configured warn logger.
 package persist
@@ -39,6 +42,7 @@ import (
 
 	"cleo/internal/learned"
 	"cleo/internal/obs"
+	"cleo/internal/stats"
 	"cleo/internal/telemetry"
 )
 
@@ -52,7 +56,8 @@ type Config struct {
 	// Dir is the state directory root (created if absent).
 	Dir string
 	// Fsync syncs the journal on every append. Off, durability of the
-	// journal tail is left to the OS page cache (snapshots always sync).
+	// journal tail is left to the OS page cache (snapshots and the
+	// table-statistics log always sync).
 	Fsync bool
 	// Retain caps the number of snapshots kept per tenant (0 = keep all).
 	Retain int
@@ -145,7 +150,7 @@ func (m *Manager) TenantNames() ([]string, error) {
 }
 
 // Tenant opens (creating if absent) the named tenant's durable state,
-// running journal torn-tail recovery as part of the open.
+// running journal and table-log torn-tail recovery as part of the open.
 func (m *Manager) Tenant(name string) (*TenantState, error) {
 	dir := filepath.Join(m.cfg.Dir, tenantDirName(name))
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -172,6 +177,10 @@ func (m *Manager) Tenant(name string) (*TenantState, error) {
 		j.fsyncSeconds = m.metrics.fsyncSeconds
 	}
 	ts.droppedBytes.Store(rec.DroppedBytes)
+	if err := ts.openTables(); err != nil {
+		j.Close()
+		return nil, err
+	}
 	return ts, nil
 }
 
@@ -188,7 +197,14 @@ type TenantState struct {
 	mu       sync.Mutex // serializes snapshot writes; guards lastSnap
 	lastSnap int64
 
-	tablesMu sync.Mutex // serializes tables.json writes
+	// Table statistics (tables.go). tablesMu serializes every table
+	// write and guards the fields below it.
+	tablesMu      sync.Mutex
+	tablesLog     *os.File                    // tables.wal; nil once closed
+	tablesLogSize int64                       // bytes of complete frames in tablesLog
+	tablesLogged  int                         // table entries across those frames
+	tables        map[string]stats.TableStats // durable catalog: tables.json overlaid with tables.wal
+	tablesBehind  bool                        // tables holds a delta no frame recorded
 
 	replayMu sync.Mutex
 	replay   []telemetry.Record
@@ -378,8 +394,9 @@ type Stats struct {
 	// JournalAppends / JournalErrors count journaled telemetry batches.
 	JournalAppends uint64 `json:"journal_appends"`
 	JournalErrors  uint64 `json:"journal_errors,omitempty"`
-	// TableSaves / TableErrors count table-statistics catalog writes
-	// (tables.json) this process.
+	// TableSaves counts table-statistics deltas made durable this process,
+	// one per fsynced frame of tables.wal; TableErrors counts failed frame
+	// writes and compactions.
 	TableSaves  uint64 `json:"table_saves,omitempty"`
 	TableErrors uint64 `json:"table_errors,omitempty"`
 	// JournalRecords / JournalBytes describe the journal's current
@@ -410,7 +427,11 @@ func (ts *TenantState) Stats() Stats {
 	}
 }
 
-// Close closes the tenant's journal.
+// Close closes the tenant's journal and table log.
 func (ts *TenantState) Close() error {
-	return ts.journal.Close()
+	err := ts.journal.Close()
+	if cerr := ts.closeTables(); err == nil {
+		err = cerr
+	}
+	return err
 }

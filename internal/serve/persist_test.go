@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -335,5 +336,132 @@ func TestRecoveredTenantRetainsSeed(t *testing.T) {
 	}
 	if p1.String() != p2.String() || c1 != c2 {
 		t.Fatalf("recovered tenant plans diverge:\n%s (%v)\n%s (%v)", p1, c1, p2, c2)
+	}
+}
+
+// waitTableWriter returns once the tenant's table writer has drained
+// every pending delta and exited.
+func waitTableWriter(t *testing.T, tn *Tenant) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		tn.tablesMu.Lock()
+		busy := tn.tablesWriting
+		tn.tablesMu.Unlock()
+		if !busy {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("table writer still running after 10s")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// TestTableStatsWriteVolumeLinear pins the cost of the recurring-job
+// pattern, one new dated input per request: the bytes written grow
+// linearly with the tables registered (the delta log after 2N
+// registrations is at most 2.2x the log after N), and tables.json is not
+// rewritten on the way. A full-catalog rewrite per request would write
+// O(N^2) bytes.
+func TestTableStatsWriteVolumeLinear(t *testing.T) {
+	const n = 100
+	dir := t.TempDir()
+	svc := NewService(durableConfig(dir))
+	tn := svc.Tenant("ads")
+	register := func(from, to int) {
+		for i := from; i < to; i++ {
+			tn.RegisterTables(map[string]stats.TableStats{
+				fmt.Sprintf("clicks_%05d", i): {Rows: 2e7, RowLength: 120},
+			})
+			// One frame per registration, so the sizes below do not
+			// depend on how many registrations shared a frame.
+			waitTableWriter(t, tn)
+		}
+	}
+	tdir := filepath.Join(dir, "ads")
+	logSize := func() int64 {
+		t.Helper()
+		fi, err := os.Stat(filepath.Join(tdir, "tables.wal"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	register(0, n)
+	atN := logSize()
+	register(n, 2*n)
+	at2N := logSize()
+	if at2N <= atN || float64(at2N) > 2.2*float64(atN) {
+		t.Fatalf("table log grew from %d bytes after %d registrations to %d after %d; want linear growth",
+			atN, n, at2N, 2*n)
+	}
+	if _, err := os.Stat(filepath.Join(tdir, "tables.json")); !os.IsNotExist(err) {
+		t.Fatalf("tables.json was written during new-table registration (stat err %v)", err)
+	}
+	if st := tn.Stats(); st.Persist.TableSaves != 2*n || st.Persist.TableErrors != 0 {
+		t.Fatalf("persist stats: %+v", st.Persist)
+	}
+	want := tn.System().Catalog().Tables()
+	svc.Close()
+
+	svc2 := NewService(durableConfig(dir))
+	defer svc2.Close()
+	tn2, ok := svc2.Lookup("ads")
+	if !ok {
+		t.Fatal("tenant not recovered")
+	}
+	if got := tn2.System().Catalog().Tables(); len(got) != 2*n || !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered %d tables, want the %d registered", len(got), len(want))
+	}
+}
+
+// TestTableStatsCompactionMatchesCatalog re-registers changed statistics
+// from several goroutines at once, then until the compaction rule fires:
+// the durable catalog (tables.json overlaid with the log) must equal the
+// live one, whatever frames the group commit formed.
+func TestTableStatsCompactionMatchesCatalog(t *testing.T) {
+	dir := t.TempDir()
+	svc := NewService(durableConfig(dir))
+	defer svc.Close()
+	tn := svc.Tenant("ads")
+	const tables, writers, rounds = 6, 4, 25
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				delta := map[string]stats.TableStats{}
+				for i := 0; i < tables; i++ {
+					if (i+r+w)%2 == 0 {
+						delta[fmt.Sprintf("t%d", i)] = stats.TableStats{Rows: float64(1 + w*rounds + r), RowLength: 64}
+					}
+				}
+				tn.RegisterTables(delta)
+			}
+		}(w)
+	}
+	wg.Wait()
+	// Then whole-catalog changes one frame at a time: 3 frames of 6
+	// entries exceed twice the 6 tables, so the rule fires however the
+	// concurrent registrations above were grouped.
+	for r := 0; r < 3; r++ {
+		delta := map[string]stats.TableStats{}
+		for i := 0; i < tables; i++ {
+			delta[fmt.Sprintf("t%d", i)] = stats.TableStats{Rows: float64(1 + writers*rounds + r), RowLength: 64}
+		}
+		tn.RegisterTables(delta)
+		waitTableWriter(t, tn)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "ads", "tables.json")); err != nil {
+		t.Fatalf("the compaction rule never fired: %v", err)
+	}
+	got, err := tn.state.LoadTables()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := tn.System().Catalog().Tables(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("durable catalog %+v, live catalog %+v", got, want)
 	}
 }

@@ -9,9 +9,9 @@ import (
 )
 
 // TestDurableTablesSurviveRestart pins satellite behaviour: table
-// statistics registered through the serving layer are persisted with the
-// tenant, so the first post-restart request plans against the full
-// catalog without the client re-sending stats.
+// statistics registered through the serving layer are logged with the
+// tenant as deltas, so the first post-restart request plans against the
+// full catalog without the client re-sending stats.
 func TestDurableTablesSurviveRestart(t *testing.T) {
 	dir := t.TempDir()
 	svc1 := NewService(durableConfig(dir))
@@ -20,13 +20,13 @@ func TestDurableTablesSurviveRestart(t *testing.T) {
 		"clicks_2026_06_12": {Rows: 2e7, RowLength: 120},
 		"users":             {Rows: 5e5, RowLength: 64},
 	})
-	// Re-registering the same stats is idempotent — no second save.
+	// Re-registering the same stats changes nothing, so it logs no delta.
 	tn1.RegisterTables(map[string]stats.TableStats{
 		"clicks_2026_06_12": {Rows: 2e7, RowLength: 120},
 	})
-	svc1.Close() // waits for the async table save
-	if st := tn1.Stats(); st.Persist == nil || st.Persist.TableSaves == 0 {
-		t.Fatalf("persist stats after save: %+v", st.Persist)
+	svc1.Close() // drains the table writer before the log closes
+	if st := tn1.Stats(); st.Persist == nil || st.Persist.TableSaves != 1 {
+		t.Fatalf("persist stats after one changing registration: %+v", st.Persist)
 	}
 
 	svc2 := NewService(durableConfig(dir))

@@ -74,8 +74,9 @@ type Config struct {
 	// learned-cost plans on its first request. Empty disables persistence.
 	StateDir string
 	// Fsync syncs the telemetry journal on every append (model snapshots
-	// always sync). Off by default: journal-tail durability is traded for
-	// ingestion throughput, exactly like a database WAL without fsync.
+	// and the table-statistics log always sync). Off by default:
+	// journal-tail durability is traded for ingestion throughput, exactly
+	// like a database WAL without fsync.
 	Fsync bool
 	// RetainSnapshots caps the snapshots kept per tenant (0 = keep all).
 	RetainSnapshots int

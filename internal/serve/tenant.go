@@ -69,6 +69,16 @@ type Tenant struct {
 	done     chan struct{}
 	wg       sync.WaitGroup
 
+	// Table-statistics changes wait in tablesPending for the tenant's one
+	// table writer. RegisterTables starts it (counted in wg) when none is
+	// running; each pass appends everything registered since the last as
+	// one durable frame, and it exits once nothing is pending — group
+	// commit, so concurrent registrations share frames and fsyncs.
+	// tablesMu also orders each catalog update with its pending merge.
+	tablesMu      sync.Mutex
+	tablesPending map[string]stats.TableStats
+	tablesWriting bool
+
 	retrainThreshold int
 	lastTrain        atomic.Int64 // log size at the last publish
 	training         atomic.Bool  // single-flight retrain guard
@@ -197,31 +207,51 @@ func (t *Tenant) HasModels() bool {
 }
 
 // RegisterTables registers stored-input statistics with the tenant's
-// catalog and, when persistence is on and the catalog actually changed
-// (idempotent re-sends leave the epoch untouched), snapshots the whole
-// catalog to disk asynchronously — so the first post-restart or
+// catalog and, when persistence is on, hands the tables whose statistics
+// changed (idempotent re-sends change nothing) to the table writer, which
+// makes them durable asynchronously — so the first post-restart or
 // post-failover request no longer depends on the client re-sending stats.
 func (t *Tenant) RegisterTables(tables map[string]stats.TableStats) {
 	if len(tables) == 0 {
 		return
 	}
 	cat := t.sys.Catalog()
-	before := cat.Epoch()
+	t.tablesMu.Lock()
+	defer t.tablesMu.Unlock()
 	for name, ts := range tables {
-		t.sys.RegisterTable(name, ts)
+		if !cat.PutTable(name, ts) || t.state == nil {
+			continue
+		}
+		if t.tablesPending == nil {
+			t.tablesPending = make(map[string]stats.TableStats, len(tables))
+		}
+		t.tablesPending[name] = ts
 	}
-	if t.state == nil || cat.Epoch() == before {
-		return
+	if len(t.tablesPending) > 0 && !t.tablesWriting {
+		t.tablesWriting = true
+		t.wg.Add(1)
+		go t.tableWriter()
 	}
-	t.wg.Add(1)
-	go func() {
-		defer t.wg.Done()
-		// Snapshot inside the goroutine: a racing later registration is
-		// then either already included here or will trigger its own save.
-		if err := t.state.SaveTables(cat.Tables()); err != nil {
+}
+
+// tableWriter appends the pending table deltas, one frame per pass, until
+// none is left.
+func (t *Tenant) tableWriter() {
+	defer t.wg.Done()
+	for {
+		t.tablesMu.Lock()
+		delta := t.tablesPending
+		t.tablesPending = nil
+		if len(delta) == 0 {
+			t.tablesWriting = false
+			t.tablesMu.Unlock()
+			return
+		}
+		t.tablesMu.Unlock()
+		if err := t.state.AppendTables(delta); err != nil {
 			t.log.Warn("serve: persisting table statistics failed", "err", err)
 		}
-	}()
+	}
 }
 
 // InstallReplica installs a model version replicated from the tenant's

@@ -99,14 +99,17 @@ func (c *Catalog) OverrideAggReduction(key string, trueRed, estRed float64) {
 	c.aggOv[key] = v
 }
 
-// PutTable registers (or updates) the statistics of a stored input.
-func (c *Catalog) PutTable(name string, ts TableStats) {
+// PutTable registers (or updates) the statistics of a stored input and
+// reports whether that changed the catalog (and so moved the epoch).
+func (c *Catalog) PutTable(name string, ts TableStats) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if old, ok := c.tables[name]; !ok || old != ts {
-		c.epoch++
+	if old, ok := c.tables[name]; ok && old == ts {
+		return false
 	}
+	c.epoch++
 	c.tables[name] = ts
+	return true
 }
 
 // Epoch reports the current statistics epoch: it advances on every
@@ -129,9 +132,9 @@ func (c *Catalog) Table(name string) (TableStats, bool) {
 	return ts, ok
 }
 
-// Tables snapshots every registered table's statistics — the durable-state
-// and replication layers persist/ship the whole catalog at once. The
-// returned map is the caller's to keep.
+// Tables snapshots every registered table's statistics — the replication
+// layer ships the whole catalog at once. The returned map is the caller's
+// to keep.
 func (c *Catalog) Tables() map[string]TableStats {
 	c.mu.RLock()
 	defer c.mu.RUnlock()

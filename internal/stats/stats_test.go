@@ -253,12 +253,16 @@ func TestCatalogEpoch(t *testing.T) {
 		t.Fatalf("fresh catalog epoch = %d", c.Epoch())
 	}
 	ts := TableStats{Rows: 100, RowLength: 10}
-	c.PutTable("t", ts)
+	if !c.PutTable("t", ts) {
+		t.Fatal("new table not reported as a change")
+	}
 	e1 := c.Epoch()
 	if e1 == 0 {
 		t.Fatal("new table did not advance the epoch")
 	}
-	c.PutTable("t", ts) // identical: must NOT advance
+	if c.PutTable("t", ts) { // identical: must NOT advance
+		t.Fatal("idempotent table re-registration reported as a change")
+	}
 	if c.Epoch() != e1 {
 		t.Fatal("idempotent table re-registration advanced the epoch")
 	}
@@ -271,7 +275,9 @@ func TestCatalogEpoch(t *testing.T) {
 	if e2 == e1 {
 		t.Fatal("new override did not advance the epoch")
 	}
-	c.PutTable("t", TableStats{Rows: 200, RowLength: 10})
+	if !c.PutTable("t", TableStats{Rows: 200, RowLength: 10}) {
+		t.Fatal("changed table stats not reported as a change")
+	}
 	if c.Epoch() == e2 {
 		t.Fatal("changed table stats did not advance the epoch")
 	}
