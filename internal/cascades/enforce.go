@@ -1,6 +1,7 @@
 package cascades
 
 import (
+	"slices"
 	"time"
 
 	"cleo/internal/costmodel"
@@ -10,8 +11,10 @@ import (
 // enforce wraps the candidate with enforcer operators (Exchange for
 // partitioning, Sort for ordering) until the required properties are met,
 // and returns the final root and its delivered properties. It mutates only
-// the candidate's private subtree, so independent candidates enforce
-// concurrently.
+// the candidate's top stage and the stages coupled to it, down to the
+// Exchanges at their bottom: the candidate's own copy (see searchResult).
+// The finished stages below those Exchanges, shared with other candidates,
+// are only read, so independent candidates enforce concurrently.
 func (s *search) enforce(root *plan.Physical, delivered, req Props) (*plan.Physical, Props, error) {
 	var err error
 	if !delivered.Part.Satisfies(req.Part) {
@@ -103,12 +106,7 @@ func (s *search) optimizeTopStage(root *plan.Physical) {
 // arbitrateStage is optimizeTopStage's body: the paper's partition
 // optimization plus the anchored final arbitration.
 func (s *search) arbitrateStage(root *plan.Physical) {
-	stageOf := plan.StageOf(root)
-	stage := stageOf[root]
-	if stage == nil || len(stage.Ops) == 0 {
-		return
-	}
-	stages, fixed := coupledStages(stage, stageOf)
+	stages, fixed := coupledStages(plan.TopStage(root))
 	if fixed > 0 {
 		// A coupled stage is pinned: adopt its count as required.
 		for _, st := range stages {
@@ -177,17 +175,16 @@ func (s *search) arbitrateStage(root *plan.Physical) {
 }
 
 // coupledStages returns the transitive set of stages that must share a
-// partition count with st (via co-partitioned joins), plus the fixed count
-// imposed by any pinned member (0 if none).
-func coupledStages(st *plan.Stage, stageOf map[*plan.Physical]*plan.Stage) ([]*plan.Stage, int) {
-	seen := map[*plan.Stage]bool{st: true}
-	queue := []*plan.Stage{st}
-	var out []*plan.Stage
+// partition count with st (via co-partitioned joins), breadth-first from
+// st, plus the fixed count imposed by any pinned member (0 if none). A
+// join's first child lies in the join's own stage; each later child tops
+// its own, which plan.TopStage finds. Stages are told apart by their
+// partitioning operator, so none is listed twice.
+func coupledStages(st *plan.Stage) ([]*plan.Stage, int) {
+	out := []*plan.Stage{st}
 	fixed := 0
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		out = append(out, cur)
+	for i := 0; i < len(out); i++ {
+		cur := out[i]
 		if cur.Ops[0].FixedPartitions && cur.Ops[0].Partitions > fixed {
 			fixed = cur.Ops[0].Partitions
 		}
@@ -195,11 +192,10 @@ func coupledStages(st *plan.Stage, stageOf map[*plan.Physical]*plan.Stage) ([]*p
 			if op.Op != plan.PHashJoin && op.Op != plan.PMergeJoin {
 				continue
 			}
-			for _, ch := range op.Children {
-				cs := stageOf[ch]
-				if cs != nil && !seen[cs] {
-					seen[cs] = true
-					queue = append(queue, cs)
+			for _, ch := range op.Children[1:] {
+				cs := plan.TopStage(ch)
+				if !slices.ContainsFunc(out, func(st *plan.Stage) bool { return st.Ops[0] == cs.Ops[0] }) {
+					out = append(out, cs)
 				}
 			}
 		}
@@ -285,11 +281,11 @@ func (s *search) alignPartitions(e *Expr, lp, rp **plan.Physical) error {
 	bestCost := 0.0
 	var bestL, bestR *plan.Physical
 	for _, target := range candidates {
-		cl, err := s.retarget(l.Clone(), part, target)
+		cl, err := s.retarget(l.CloneTopStage(), part, target)
 		if err != nil {
 			return err
 		}
-		cr, err := s.retarget(r.Clone(), part, target)
+		cr, err := s.retarget(r.CloneTopStage(), part, target)
 		if err != nil {
 			return err
 		}
@@ -310,18 +306,16 @@ func (s *search) retarget(root *plan.Physical, part Partitioning, target int) (*
 	if root.Partitions == target {
 		return root, nil
 	}
-	if root.Op == plan.PExchange && !root.FixedPartitions {
-		stage := plan.StageOf(root)[root]
-		setStagePartitions(stage, target)
-		s.recostAll(stage.Ops)
-		return root, nil
+	if root.Op != plan.PExchange || root.FixedPartitions {
+		var err error
+		if root, err = s.addExchange(root, part); err != nil {
+			return nil, err
+		}
 	}
-	x, err := s.addExchange(root, part)
-	if err != nil {
-		return nil, err
-	}
-	stage := plan.StageOf(x)[x]
+	// An Exchange tops a stage of one operator: nothing in the subtree
+	// continues its stage.
+	stage := plan.TopStage(root)
 	setStagePartitions(stage, target)
 	s.recostAll(stage.Ops)
-	return x, nil
+	return root, nil
 }

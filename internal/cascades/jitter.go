@@ -8,8 +8,7 @@ import (
 
 // JitterPlanPartitions perturbs the partition counts of a finished plan's
 // stages by deterministic per-stage factors in [1/3, 3], respecting fixed
-// boundaries and co-partitioned-join coupling, and re-prices affected
-// operators with the given cost model.
+// boundaries, and re-prices affected operators with the given cost model.
 //
 // Telemetry collection applies this after planning: production heuristics
 // vary with drifting statistics, so real training data covers a range of
@@ -20,17 +19,15 @@ func JitterPlanPartitions(root *plan.Physical, seed int64, maxPartitions int, co
 	if maxPartitions <= 0 {
 		maxPartitions = 3000
 	}
-	stageOf := plan.StageOf(root)
-	done := map[*plan.Stage]bool{}
+	// Every stage draws its own factor, in plan.Stages order, from the
+	// partition count it had before jittering, and applies it to itself and
+	// to the stages coupled to it. A join's later input tops a stage that
+	// comes after the join's own stage in that order, so it is jittered
+	// again on its own and ends at its own factor: the two inputs of a
+	// co-partitioned join need not agree afterwards.
 	seq := 0
 	for _, st := range plan.Stages(root) {
-		if done[st] {
-			continue
-		}
-		coupled, fixed := coupledStages(st, stageOf)
-		for _, cs := range coupled {
-			done[cs] = true
-		}
+		coupled, fixed := coupledStages(st)
 		seq++
 		if fixed > 0 || st.Ops[0].FixedPartitions {
 			continue

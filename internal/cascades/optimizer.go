@@ -354,6 +354,9 @@ func (s *search) run(root *plan.Logical) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The only deep copy of the search: the winner shares finished stages
+	// with the memoized results, and the caller (jitter, telemetry, the
+	// executor) may rewrite any of its operators.
 	best := res.root.Clone()
 	// The topmost stage never saw a boundary above it; finalize it.
 	s.optimizeTopStage(best)
@@ -378,8 +381,13 @@ type taskKey struct {
 }
 
 // searchResult is the memoized best plan for (group, required props). Once
-// published through a future it is immutable: consumers Clone the root
-// before mutating.
+// published through a future it is immutable. A consumer copies only the
+// root's top stage (plan.Physical.CloneTopStage), the one part the search
+// can still mutate: alignment, arbitration and enforcement change the
+// partition counts and costs of the top stage, of the stages coupled to it
+// by co-partitioned joins and of the Exchanges at its bottom, never what
+// lies below an Exchange. Results therefore share finished stages, which
+// stay read-only.
 type searchResult struct {
 	root      *plan.Physical
 	cost      float64
@@ -791,7 +799,7 @@ func (s *search) implementPassThrough(e *Expr, op plan.PhysicalOp, req Props, ke
 	if err != nil {
 		return nil, err
 	}
-	cr := child.root.Clone()
+	cr := child.root.CloneTopStage()
 	pending := make([]*plan.Physical, 0, 4)
 	n, err := s.newNode(&pending, op, e, cr.Partitions, cr)
 	if err != nil {
@@ -819,7 +827,7 @@ func (s *search) implementUnion(e *Expr) ([]candidate, error) {
 	children := make([]*plan.Physical, len(results))
 	maxP := 1
 	for i, c := range results {
-		cc := c.root.Clone()
+		cc := c.root.CloneTopStage()
 		children[i] = cc
 		if cc.Partitions > maxP {
 			maxP = cc.Partitions
@@ -839,7 +847,7 @@ func (s *search) implementSort(e *Expr, req Props) ([]candidate, error) {
 	if err != nil {
 		return nil, err
 	}
-	cr := child.root.Clone()
+	cr := child.root.CloneTopStage()
 	pending := make([]*plan.Physical, 0, 4)
 	n, err := s.newNode(&pending, plan.PSort, e, cr.Partitions, cr)
 	if err != nil {
@@ -856,7 +864,7 @@ func (s *search) implementTopN(e *Expr, req Props) ([]candidate, error) {
 	if err != nil {
 		return nil, err
 	}
-	cr := child.root.Clone()
+	cr := child.root.CloneTopStage()
 	pending := make([]*plan.Physical, 0, 4)
 	n, err := s.newNode(&pending, plan.PTopN, e, cr.Partitions, cr)
 	if err != nil {
@@ -900,7 +908,7 @@ func (s *search) implementAggregate(e *Expr) ([]candidate, error) {
 
 	// Hash aggregate over hash-partitioned input.
 	{
-		cr := hashChild.root.Clone()
+		cr := hashChild.root.CloneTopStage()
 		n, err := s.newNode(&pending, plan.PHashAggregate, e, cr.Partitions, cr)
 		if err != nil {
 			return nil, err
@@ -910,7 +918,7 @@ func (s *search) implementAggregate(e *Expr) ([]candidate, error) {
 
 	// Stream aggregate over hash-partitioned, key-sorted input.
 	if streamChild != nil {
-		cr := streamChild.root.Clone()
+		cr := streamChild.root.CloneTopStage()
 		n, err := s.newNode(&pending, plan.PStreamAggregate, e, cr.Partitions, cr)
 		if err != nil {
 			return nil, err
@@ -921,7 +929,7 @@ func (s *search) implementAggregate(e *Expr) ([]candidate, error) {
 	// Two-phase: local partial aggregation before the shuffle, then the
 	// final hash aggregate (the paper's Q17 change).
 	{
-		cr := localChild.root.Clone()
+		cr := localChild.root.CloneTopStage()
 		partial, err := s.newNode(&pending, plan.PPartialAggregate, e, cr.Partitions, cr)
 		if err != nil {
 			return nil, err
@@ -975,11 +983,11 @@ func (s *search) implementJoin(e *Expr) ([]candidate, error) {
 	return cands, nil
 }
 
-// buildJoin clones the children, aligns their partition counts (children of
+// buildJoin copies the children's top stages, aligns their partition counts (children of
 // a co-partitioned join must agree) and constructs the join node.
 func (s *search) buildJoin(pending *[]*plan.Physical, op plan.PhysicalOp, e *Expr, l, r *searchResult) (candidate, error) {
-	lp := l.root.Clone()
-	rp := r.root.Clone()
+	lp := l.root.CloneTopStage()
+	rp := r.root.CloneTopStage()
 	if err := s.alignPartitions(e, &lp, &rp); err != nil {
 		return candidate{}, err
 	}

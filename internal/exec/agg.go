@@ -41,24 +41,34 @@ type hashAggIter struct {
 	size         int
 	extraBuckets int64
 
+	// Per group, indexed by group number (first-arrival order).
 	gKeys   [][]int64
 	buckets []int64
 	cnt     []int64
 	sum     []int64
-	index   map[uint64][]int32
-	pos     int
-	out     *Batch
+	hashes  []uint64 // for relinking on growth
+	next    []int32  // chain of groups sharing a hash, -1 = end
+
+	// Open-addressed index over group hashes, as in buildTable: linear
+	// probing, one slot per distinct hash, at most half the slots used.
+	slots []aggSlot
+	mask  uint64
+
+	pos int
+	out *Batch
+}
+
+// aggSlot is one index slot: a group hash and the head of its chain.
+type aggSlot struct {
+	hash uint64
+	head int32 // -1 = empty
 }
 
 func (a *hashAggIter) Open() error {
 	if err := a.child.Open(); err != nil {
 		return err
 	}
-	nk := len(a.keyIdx)
-	a.gKeys = make([][]int64, nk)
-	a.cnt, a.sum, a.buckets = nil, nil, nil
-	a.index = make(map[uint64][]int32)
-	a.pos = 0
+	a.resetGroups()
 	for {
 		b, err := a.child.Next()
 		if err != nil {
@@ -89,43 +99,74 @@ func (a *hashAggIter) Open() error {
 			}
 		}
 	}
-	a.out = getBatch(nk+2, a.size)
+	a.out = getBatch(len(a.keyIdx)+2, a.size)
 	return nil
 }
 
-// findGroup locates or creates row i's group, verifying key equality on
-// hash collisions.
+// resetGroups empties the group table.
+func (a *hashAggIter) resetGroups() {
+	a.gKeys = make([][]int64, len(a.keyIdx))
+	a.cnt, a.sum, a.buckets, a.hashes, a.next = nil, nil, nil, nil, nil
+	a.pos = 0
+	a.relink(nextPow2(0))
+}
+
+// relink rebuilds the index at the given power-of-two slot count. Chains
+// are only ever searched, never emitted, so their order does not matter.
+func (a *hashAggIter) relink(slots int) {
+	a.slots = make([]aggSlot, slots)
+	for i := range a.slots {
+		a.slots[i].head = -1
+	}
+	a.mask = uint64(slots - 1)
+	for g, h := range a.hashes {
+		s := a.slot(h)
+		a.next[g] = a.slots[s].head
+		a.slots[s].hash, a.slots[s].head = h, int32(g)
+	}
+}
+
+// slot returns the index slot holding hash h, or the empty slot where it
+// belongs.
+func (a *hashAggIter) slot(h uint64) uint64 {
+	s := h & a.mask
+	for a.slots[s].head != -1 && a.slots[s].hash != h {
+		s = (s + 1) & a.mask
+	}
+	return s
+}
+
+// findGroup locates or creates row i's group, verifying key equality
+// along the chain of groups whose hash is h.
 func (a *hashAggIter) findGroup(cols [][]int64, i int, h uint64, bucket int64) int32 {
+	s := a.slot(h)
 next:
-	for _, g := range a.index[h] {
+	for g := a.slots[s].head; g != -1; g = a.next[g] {
 		for k, ix := range a.keyIdx {
-			var v int64
-			if ix >= 0 {
-				v = cols[ix][i]
-			}
-			if a.gKeys[k][g] != v {
+			if a.gKeys[k][g] != cols[ix][i] {
 				continue next
 			}
 		}
 		if a.extraBuckets > 0 && a.buckets[g] != bucket {
-			continue next
+			continue
 		}
 		return g
 	}
 	g := int32(len(a.cnt))
 	for k, ix := range a.keyIdx {
-		var v int64
-		if ix >= 0 {
-			v = cols[ix][i]
-		}
-		a.gKeys[k] = append(a.gKeys[k], v)
+		a.gKeys[k] = append(a.gKeys[k], cols[ix][i])
 	}
 	if a.extraBuckets > 0 {
 		a.buckets = append(a.buckets, bucket)
 	}
 	a.cnt = append(a.cnt, 0)
 	a.sum = append(a.sum, 0)
-	a.index[h] = append(a.index[h], g)
+	a.hashes = append(a.hashes, h)
+	a.next = append(a.next, a.slots[s].head)
+	a.slots[s].hash, a.slots[s].head = h, g
+	if 2*len(a.cnt) > len(a.slots) {
+		a.relink(2 * len(a.slots))
+	}
 	return g
 }
 
@@ -151,7 +192,7 @@ func (a *hashAggIter) Next() (*Batch, error) {
 func (a *hashAggIter) Close() {
 	putBatch(a.out)
 	a.out = nil
-	a.gKeys, a.cnt, a.sum, a.buckets, a.index = nil, nil, nil, nil, nil
+	a.gKeys, a.cnt, a.sum, a.buckets, a.hashes, a.next, a.slots = nil, nil, nil, nil, nil, nil, nil
 	a.child.Close()
 }
 

@@ -1,6 +1,9 @@
 package exec
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Equi-join iterators. All three variants share conventions with the
 // simulator's cost model: child 0 is the probe/left input, child 1 the
@@ -493,27 +496,22 @@ type mergeJoinIter struct {
 	inRun          bool
 }
 
-// idxSorter implements sort.Interface over a row-index permutation with a
-// concrete type: sort.Stable on it avoids the reflect-based swapper that
-// sort.SliceStable pays on every exchange.
-type idxSorter struct {
-	idx []int32
-	cs  *colStore
-	key []int
-}
-
-func (s *idxSorter) Len() int      { return len(s.idx) }
-func (s *idxSorter) Swap(i, j int) { s.idx[i], s.idx[j] = s.idx[j], s.idx[i] }
-func (s *idxSorter) Less(i, j int) bool {
-	return s.cs.compareRows(int(s.idx[i]), int(s.idx[j]), s.key) < 0
-}
-
+// sortedIndex returns the permutation that lists cs's rows in canonical
+// order (compareRows over keyIdx). Rows that compare equal — exact
+// duplicates — keep their input order: the row index is the final
+// tie-break, so the order is strict and the permutation is the one a
+// stable sort gives, from an unstable O(n log n) sort.
 func sortedIndex(cs *colStore, keyIdx []int) []int32 {
 	idx := make([]int32, cs.n)
 	for i := range idx {
 		idx[i] = int32(i)
 	}
-	sort.Stable(&idxSorter{idx: idx, cs: cs, key: keyIdx})
+	slices.SortFunc(idx, func(a, b int32) int {
+		if c := cs.compareRows(int(a), int(b), keyIdx); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
 	return idx
 }
 

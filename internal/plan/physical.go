@@ -195,6 +195,25 @@ func (p *Physical) Clone() *Physical {
 	return &out
 }
 
+// CloneTopStage copies the part of the subtree that partition optimization
+// can still change: every operator reachable from p without passing below
+// an Exchange, the Exchanges themselves included. That is the top stage
+// plus the stages coupled to it through co-partitioned joins. The subtrees
+// under those Exchanges are finished stages; the copy shares them with p,
+// and neither may write them. Key lists are shared too: no pass rewrites a
+// physical operator's keys in place.
+func (p *Physical) CloneTopStage() *Physical {
+	out := *p
+	if p.Op == PExchange {
+		return &out
+	}
+	out.Children = make([]*Physical, len(p.Children))
+	for i, c := range p.Children {
+		out.Children[i] = c.CloneTopStage()
+	}
+	return &out
+}
+
 // String renders a compact one-line form.
 func (p *Physical) String() string {
 	var b strings.Builder

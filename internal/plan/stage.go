@@ -28,10 +28,11 @@ func isStageBoundary(op PhysicalOp) bool {
 
 // Stages decomposes the plan into stages, bottom-up. Operators between two
 // Exchange operators (exclusive of the upper one) share a stage with the
-// lower Exchange; Extract leaves start leaf stages. Binary operators (joins,
-// unions) join the stage of their left-most non-boundary child unless all
-// children end in boundaries, in which case they join the stage of the
-// first child.
+// lower Exchange; Extract leaves start leaf stages. Every other operator,
+// binary ones (joins, unions) included, continues the stage of its first
+// child, whatever that child is, so a stage is always one first-child
+// chain: the partitioning operator at the bottom, each operator above it
+// the parent of the one below through its first child.
 func Stages(root *Physical) []*Stage {
 	var stages []*Stage
 	stageOf := map[*Physical]*Stage{}
@@ -59,6 +60,28 @@ func Stages(root *Physical) []*Stage {
 		st.Partitions = st.Ops[0].Partitions
 	}
 	return stages
+}
+
+// TopStage returns the stage that n tops, without decomposing the rest of
+// the plan: n and the operators below it along its first-child chain, down
+// to and including the first stage boundary. When nothing above n
+// continues its stage (n is the root, an Exchange's child or a later child
+// of a binary operator), its Ops equal those of StageOf(root)[n] for any
+// plan containing n; for an operator inside a stage it is the part of that
+// stage from the partitioning operator up to n.
+func TopStage(n *Physical) *Stage {
+	depth := 1
+	for c := n; !isStageBoundary(c.Op) && len(c.Children) > 0; c = c.Children[0] {
+		depth++
+	}
+	ops := make([]*Physical, depth)
+	for i, c := depth-1, n; i >= 0; i-- {
+		ops[i] = c
+		if i > 0 {
+			c = c.Children[0]
+		}
+	}
+	return &Stage{Ops: ops, Partitions: ops[0].Partitions}
 }
 
 // StageOf returns the stage containing each operator of the plan.
